@@ -10,10 +10,8 @@ seeded experiment harness with an exact verification oracle.
 from .core import (
     ExactGraph,
     Neighbourhood,
-    Side,
     Sign,
     StreamUpdate,
-    VertexId,
     parse_stream,
     replay,
     verify_witness,
@@ -38,11 +36,9 @@ __all__ = [
     "Mode",
     "Neighbourhood",
     "SamplerBank",
-    "Side",
     "Sign",
     "StarConfig",
     "StreamUpdate",
-    "VertexId",
     "coin",
     "parse_stream",
     "replay",

@@ -4,7 +4,7 @@ Inputs are bipartite graphs G = (A, B, E) with |A| = n and |B| = m, where
 m is polynomially bounded in n (m <= n**SIDE_RATIO_EXP). Vertex indices
 are 1-based on both sides; in updates and neighbourhoods the side is
 implied by position (first slot A, second slot B), so indices travel as
-plain ints. `VertexId` exists for boundary validation.
+plain ints.
 
 Streams are sequences of edge insertions/deletions under simple-graph
 discipline: the running multiplicity of every edge stays in {0, 1}.
@@ -19,7 +19,6 @@ tests and the harness do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -32,27 +31,6 @@ from .errors import (
 
 # Default exponent c in the side-size restriction m <= n**c.
 SIDE_RATIO_EXP = 3
-
-
-class Side(Enum):
-    A = "A"
-    B = "B"
-
-
-@dataclass(frozen=True)
-class VertexId:
-    """A side-tagged, 1-based vertex index."""
-
-    side: Side
-    index: int
-
-    def validate(self, n: int, m: int, side_ratio_exp: int = SIDE_RATIO_EXP) -> None:
-        if self.index < 1:
-            raise ValueError(f"vertex index must be >= 1, got {self.index}")
-        bound = n if self.side is Side.A else m
-        if self.index > bound:
-            raise ValueError(f"{self.side.value}-side index {self.index} > {bound}")
-        check_side_sizes(n, m, side_ratio_exp)
 
 
 def check_side_sizes(n: int, m: int, side_ratio_exp: int = SIDE_RATIO_EXP) -> None:
@@ -266,8 +244,3 @@ def parse_stream_text(text: str) -> tuple[list[StreamUpdate], StreamHeader]:
 def parse_stream(path) -> tuple[list[StreamUpdate], StreamHeader]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_stream_text(fh.read())
-
-
-def read_stream_text(path) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read()

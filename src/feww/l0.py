@@ -6,47 +6,47 @@ set of coordinates with non-zero net count, surviving any number of
 deletions. Construction: geometric subsampling by a pairwise-independent
 hash into levels 0..L-1 (L = ceil(log2 dim) + 1, level j keeps a 2**-j
 fraction), each level a one-sparse recovery cell (count, index-weighted
-sum, fingerprint in a prime field of size > dim**3), the whole structure
-repeated ceil(ln(1/delta)) times with fresh hashes. Sampling scans levels
-from sparsest down and accepts the first singleton cell whose fingerprint
-verifies; false recovery probability is below 1/dim per level.
+sum, fingerprint sum_c x_c * z**c in the field of the Mersenne prime
+p = 2**61 - 1), the whole structure repeated ceil(ln(1/delta)) times with
+fresh hashes. Sampling scans levels from sparsest down and accepts the
+first singleton cell whose fingerprint verifies. A cell that is not a
+true singleton verifies only if z is a root of a non-zero polynomial of
+degree below dim, so false recovery has probability at most
+dim/p <= 2**-30 per cell for every accepted dim < 2**31 - 1.
 
 The structures are linear: merging two sketches of disjoint stream parts
 cellwise equals sketching the concatenation, exactly.
 
-Two implementations share the same construction and the same per-seed
-hash parameters:
+Two implementations share the same construction, the same field and the
+same per-seed hash parameters:
 
-* `L0Sketch` — one sampler, pure-Python cells (exact arbitrary-precision
-  arithmetic, any dim below 2**31).
+* `L0Sketch` — one sampler, pure-Python cells.
 * `SamplerBank` — many independent samplers over one coordinate space,
   cells held column-wise in numpy arrays so one stream update touches
   every sampler in a few vector operations. Fingerprint bases are shared
-  per repetition across the bank's samplers (the per-level false-recovery
-  bound is per-cell and unaffected); subsampling hashes stay per-sampler.
+  per repetition across the bank's samplers (the per-cell false-recovery
+  bound is unaffected); subsampling hashes stay per-sampler.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from sympy import nextprime
 
 from .errors import CoordinateOutOfRange, SketchFailure
 
 # Level-hash field: pairwise-independent family h(c) = (a*c + b) mod P.
 LEVEL_HASH_PRIME = (1 << 31) - 1
 
+# Fingerprint field. Residues stay below 2**61, so the sum of two fits an
+# int64 and the bank reduces once per cell update.
+FIELD_PRIME = (1 << 61) - 1
+
 # Sampler verdicts used by SamplerBank.draw_all.
 EMPTY = -1
 FAILED = -2
-
-# Bank limit keeping nextprime(dim**3) under 2**62 so int64 adds never
-# overflow; below 2**42 the bank defers all fingerprint reductions.
-_BANK_MAX_DIM = 1_600_000
 
 
 def levels_for(dim: int) -> int:
@@ -59,36 +59,57 @@ def repetitions_for(delta: float) -> int:
     return max(1, math.ceil(math.log(1.0 / delta)))
 
 
-@lru_cache(maxsize=None)
-def field_prime(dim: int) -> int:
-    """Smallest prime exceeding dim**3 (fingerprint field modulus).
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if dim >= LEVEL_HASH_PRIME:
+        raise ValueError(f"dim={dim} too large for the level-hash field")
 
-    Floored at 3 so the base range [2, prime) is never empty for dim=1.
-    """
-    return int(nextprime(max(dim**3, 2)))
+
+def _check_update(dim: int, coordinate: int, delta: int) -> None:
+    if not 0 <= coordinate < dim:
+        raise CoordinateOutOfRange(f"coordinate {coordinate} outside [0, {dim})")
+    if delta not in (1, -1):
+        raise ValueError(f"delta must be +1 or -1, got {delta}")
 
 
 def _draw_params(dim: int, delta: float, seed: int, count: int):
     """Hash parameters for `count` samplers; shared between both engines."""
     levels = levels_for(dim)
     reps = repetitions_for(delta)
-    prime = field_prime(dim)
     rng = np.random.default_rng(seed)
     kr = count * reps
     ha = rng.integers(1, LEVEL_HASH_PRIME, size=kr, dtype=np.int64)
     hb = rng.integers(0, LEVEL_HASH_PRIME, size=kr, dtype=np.int64)
-    if prime < (1 << 63):
-        z = rng.integers(2, prime, size=reps, dtype=np.int64)
-        zs = [int(v) for v in z]
-    else:
-        zs = [2 + int.from_bytes(rng.bytes(16), "little") % (prime - 2) for _ in range(reps)]
-    return levels, reps, prime, ha, hb, zs
+    z = rng.integers(2, FIELD_PRIME, size=reps, dtype=np.int64)
+    return levels, reps, ha, hb, [int(v) for v in z]
 
 
 def _trailing_zeros(h: int, cap: int) -> int:
     if h == 0:
         return cap
     return min((h & -h).bit_length() - 1, cap)
+
+
+def _verifies(cell: tuple, z: int, dim: int) -> bool:
+    """One-sparse test of a (count, sum, fingerprint) cell."""
+    count, s, fp = cell
+    return count == 1 and 0 <= s < dim and fp == pow(z, s, FIELD_PRIME)
+
+
+def _scan(cells: tuple, zs: list, dim: int, rng=None) -> Optional[int]:
+    """First verified singleton in `cells` (L0Sketch.cells() layout),
+    levels from sparsest down, repetitions in order (shuffled per level
+    when an rng is supplied); None when no cell verifies."""
+    reps, levels = len(cells), len(cells[0])
+    order = list(range(reps))
+    for j in range(levels - 1, -1, -1):
+        if rng is not None:
+            rng.shuffle(order)
+        for r in order:
+            if _verifies(cells[r][j], zs[r], dim):
+                return cells[r][j][1]
+    return None
 
 
 class L0Sketch:
@@ -99,37 +120,30 @@ class L0Sketch:
     """
 
     def __init__(self, dim: int, delta: float = 0.01, seed: int = 0):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if dim >= LEVEL_HASH_PRIME:
-            raise ValueError(f"dim={dim} too large for the level-hash field")
+        _check_dim(dim)
         self.dim = dim
         self.delta = delta
         self.seed = seed
-        self.levels, self.reps, self.prime, ha, hb, zs = _draw_params(dim, delta, seed, 1)
+        self.levels, self.reps, ha, hb, self._z = _draw_params(dim, delta, seed, 1)
         self._ha = [int(v) for v in ha]
         self._hb = [int(v) for v in hb]
-        self._z = zs
         self._count = [[0] * self.levels for _ in range(self.reps)]
         self._sum = [[0] * self.levels for _ in range(self.reps)]
         self._fp = [[0] * self.levels for _ in range(self.reps)]
 
     def update(self, coordinate: int, delta: int) -> None:
         """Apply one +1/-1 change to a coordinate's net count."""
-        if not 0 <= coordinate < self.dim:
-            raise CoordinateOutOfRange(f"coordinate {coordinate} outside [0, {self.dim})")
-        if delta not in (1, -1):
-            raise ValueError(f"delta must be +1 or -1, got {delta}")
+        _check_update(self.dim, coordinate, delta)
         cap = self.levels - 1
         for r in range(self.reps):
             h = (self._ha[r] * coordinate + self._hb[r]) % LEVEL_HASH_PRIME
             top = _trailing_zeros(h, cap)
-            zc = pow(self._z[r], coordinate, self.prime)
+            zc = pow(self._z[r], coordinate, FIELD_PRIME)
             crow, srow, frow = self._count[r], self._sum[r], self._fp[r]
             for j in range(top + 1):
                 crow[j] += delta
                 srow[j] += delta * coordinate
-                frow[j] = (frow[j] + delta * zc) % self.prime
+                frow[j] = (frow[j] + delta * zc) % FIELD_PRIME
 
     def support_size(self) -> int:
         # Level 0 admits every coordinate, so its count is the support size
@@ -146,16 +160,10 @@ class L0Sketch:
         """
         if self.support_size() == 0:
             return None
-        order = list(range(self.reps))
-        for j in range(self.levels - 1, -1, -1):
-            if rng is not None:
-                rng.shuffle(order)
-            for r in order:
-                if self._count[r][j] == 1:
-                    s = self._sum[r][j]
-                    if 0 <= s < self.dim and self._fp[r][j] == pow(self._z[r], s, self.prime):
-                        return s
-        raise SketchFailure("no level passed one-sparse verification")
+        s = _scan(self.cells(), self._z, self.dim, rng)
+        if s is None:
+            raise SketchFailure("no level passed one-sparse verification")
+        return s
 
     def merge(self, other: "L0Sketch") -> "L0Sketch":
         """Cellwise combination; equals sketching the concatenated streams."""
@@ -166,7 +174,7 @@ class L0Sketch:
             for j in range(self.levels):
                 out._count[r][j] = self._count[r][j] + other._count[r][j]
                 out._sum[r][j] = self._sum[r][j] + other._sum[r][j]
-                out._fp[r][j] = (self._fp[r][j] + other._fp[r][j]) % self.prime
+                out._fp[r][j] = (self._fp[r][j] + other._fp[r][j]) % FIELD_PRIME
         return out
 
     def cells(self) -> tuple:
@@ -179,15 +187,6 @@ class L0Sketch:
 
     def cell_count(self) -> int:
         return self.reps * self.levels * 3
-
-    def dump(self) -> str:
-        """Debug listing, one cell per line: `rep level count sum fingerprint`."""
-        out = [f"l0 dim={self.dim} delta={self.delta} reps={self.reps} "
-               f"levels={self.levels} prime={self.prime}"]
-        for r in range(self.reps):
-            for j in range(self.levels):
-                out.append(f"{r} {j} {self._count[r][j]} {self._sum[r][j]} {self._fp[r][j]}")
-        return "\n".join(out) + "\n"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, L0Sketch):
@@ -202,139 +201,29 @@ class L0Sketch:
 # Vectorized bank
 # ---------------------------------------------------------------------------
 
-_SPLIT = (1 << 21) - 1
-
-
-def _mulmod(x, y, p: int):
-    """(x * y) % p elementwise for int64 arrays with values in [0, p), p < 2**42."""
-    x1 = x >> 21
-    x0 = x & _SPLIT
-    t = (x1 * y) % p
-    t = (t << 21) % p
-    return (t + (x0 * y) % p) % p
-
-
-def _pow_mod_vec(base, exp, p: int):
-    """base**exp % p elementwise for int64 arrays, exponents >= 0, p < 2**42."""
-    result = np.ones_like(base)
-    b = base % p
-    e = exp.astype(np.int64).copy()
-    while True:
-        odd = (e & 1) == 1
-        if odd.any():
-            result[odd] = _mulmod(result[odd], b[odd], p)
-        e >>= 1
-        if not (e > 0).any():
-            return result
-        b = _mulmod(b, b, p)
-
-
-_KERNELS = None
-_KERNELS_UNAVAILABLE = False
-
-
-def _get_kernels():
-    """JIT-compiled batch kernels; None when numba is unavailable."""
-    global _KERNELS, _KERNELS_UNAVAILABLE
-    if _KERNELS is not None or _KERNELS_UNAVAILABLE:
-        return _KERNELS
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba present in normal installs
-        _KERNELS_UNAVAILABLE = True
-        return None
-
-    @njit(cache=True)
-    def batch_update(ha, hb, coords, deltas, zc, levels, reps,
-                     hist_c, hist_s, hist_f):
-        kr = ha.shape[0]
-        t_count = coords.shape[0]
-        mask = (1 << 31) - 1
-        for i in range(kr):
-            a = ha[i]
-            b = hb[i]
-            base = i * levels
-            r = i % reps
-            for t in range(t_count):
-                c = coords[t]
-                h = a * c + b
-                h = (h & mask) + (h >> 31)
-                h = (h & mask) + (h >> 31)
-                if h == mask:
-                    h = 0
-                if h == 0:
-                    lev = levels - 1
-                else:
-                    lev = 0
-                    while (h & 1) == 0 and lev < levels - 1:
-                        h >>= 1
-                        lev += 1
-                d = deltas[t]
-                hist_c[base + lev] += d
-                hist_s[base + lev] += d * c
-                hist_f[base + lev] += d * zc[r, t]
-
-    @njit(cache=True)
-    def row_scan(hist_c, hist_s, hist_f, levels, prime,
-                 out_lev, out_s, out_f, out_support):
-        kr = out_lev.shape[0]
-        for i in range(kr):
-            base = i * levels
-            acc_c = 0
-            acc_s = 0
-            acc_f = 0
-            best = -1
-            bs = 0
-            bf = 0
-            for j in range(levels - 1, -1, -1):
-                acc_c += hist_c[base + j]
-                acc_s += hist_s[base + j]
-                acc_f += hist_f[base + j]
-                if best < 0 and acc_c == 1:
-                    best = j
-                    bs = acc_s
-                    bf = acc_f % prime
-            out_lev[i] = best
-            out_s[i] = bs
-            out_f[i] = bf
-            out_support[i] = acc_c
-
-    _KERNELS = (batch_update, row_scan)
-    return _KERNELS
-
-
 class SamplerBank:
     """`count` independent l0 samplers over one coordinate space.
 
     Cell state is stored as point histograms over the level of each
     update's hash (one touched row per sampler-repetition per update);
     the per-level prefix-admission cells are suffix sums recovered at
-    draw time. Updates are buffered and applied in one fused batch pass
+    draw time. Updates are buffered, collapsed to net changes and applied
     when the bank is next read, which keeps a stream update cheap even
     with tens of thousands of samplers in the bank.
     """
 
     def __init__(self, dim: int, count: int, delta: float, seed: int):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if dim > _BANK_MAX_DIM:
-            raise ValueError(
-                f"dim={dim} exceeds the bank limit {_BANK_MAX_DIM}; "
-                "use L0Sketch for larger coordinate spaces"
-            )
+        _check_dim(dim)
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         self.dim = dim
         self.count = count
         self.delta = delta
         self.seed = seed
-        self.levels, self.reps, self.prime, self._ha, self._hb, zs = _draw_params(
+        self.levels, self.reps, self._ha, self._hb, self._z = _draw_params(
             dim, delta, seed, count
         )
-        self._z = zs
-        self._z_arr = np.array(zs, dtype=np.int64) if self.prime < (1 << 63) else None
         kr = count * self.reps
-        self._rep_ids = np.tile(np.arange(self.reps), count)
         self._row_base = np.arange(kr, dtype=np.int64) * self.levels
         self._hist_count = np.zeros((kr, self.levels), dtype=np.int64)
         self._hist_sum = np.zeros((kr, self.levels), dtype=np.int64)
@@ -342,34 +231,14 @@ class SamplerBank:
         self._cnt_flat = self._hist_count.reshape(-1)
         self._sum_flat = self._hist_sum.reshape(-1)
         self._fp_flat = self._hist_fp.reshape(-1)
-        # Deferred fingerprint reduction is safe while updates * prime < 2**62.
-        self._deferred = self.prime < (1 << 42)
-        self._update_budget = (1 << 62) // self.prime if self._deferred else None
-        self._updates = 0
         self._pending: list[tuple[int, int]] = []
-        self._zc_cache: dict[int, list[int]] = {}
 
     def cell_count(self) -> int:
         return self.count * self.reps * self.levels * 3
 
     def update(self, coordinate: int, delta: int) -> None:
-        if not 0 <= coordinate < self.dim:
-            raise CoordinateOutOfRange(f"coordinate {coordinate} outside [0, {self.dim})")
-        if delta not in (1, -1):
-            raise ValueError(f"delta must be +1 or -1, got {delta}")
-        if self._deferred:
-            self._updates += 1
-            if self._updates > self._update_budget:
-                raise RuntimeError("update budget exceeded for deferred fingerprints")
+        _check_update(self.dim, coordinate, delta)
         self._pending.append((coordinate, delta))
-
-    def _zc_rows(self, coordinate: int) -> list[int]:
-        per_rep = self._zc_cache.get(coordinate)
-        if per_rep is None:
-            per_rep = [pow(z, coordinate, self.prime) for z in self._z]
-            if len(self._zc_cache) < 1_000_000:
-                self._zc_cache[coordinate] = per_rep
-        return per_rep
 
     def _flush(self) -> None:
         if not self._pending:
@@ -380,41 +249,23 @@ class SamplerBank:
         net: dict[int, int] = {}
         for c, d in pending:
             net[c] = net.get(c, 0) + d
-        batch = [(c, d) for c, d in net.items() if d != 0]
-        if not batch:
-            return
-        kernels = _get_kernels() if self._deferred else None
-        if kernels is not None:
-            coords = np.array([c for c, _ in batch], dtype=np.int64)
-            deltas = np.array([d for _, d in batch], dtype=np.int64)
-            zc = np.empty((self.reps, len(batch)), dtype=np.int64)
-            for t, (c, _) in enumerate(batch):
-                zc[:, t] = self._zc_rows(c)
-            kernels[0](self._ha, self._hb, coords, deltas, zc,
-                       self.levels, self.reps,
-                       self._cnt_flat, self._sum_flat, self._fp_flat)
-            return
-        for c, d in batch:
-            self._apply_numpy(c, d)
+        for c, d in net.items():
+            if d != 0:
+                self._apply(c, d)
 
-    def _apply_numpy(self, coordinate: int, delta: int) -> None:
-        h = self._ha * coordinate + self._hb
-        h = (h & LEVEL_HASH_PRIME) + (h >> 31)
-        h = (h & LEVEL_HASH_PRIME) + (h >> 31)
-        h = np.where(h == LEVEL_HASH_PRIME, 0, h)
-        low = (h & -h).astype(np.float64)
-        with np.errstate(divide="ignore"):
-            lev_f = np.log2(low)
-        lev = np.where(h == 0, self.levels - 1,
-                       np.minimum(lev_f, self.levels - 1)).astype(np.int64)
+    def _apply(self, coordinate: int, delta: int) -> None:
+        h = (self._ha * coordinate + self._hb) % LEVEL_HASH_PRIME
+        # Trailing zeros of h, capped at the top level; h == 0 counts 64.
+        lev = np.minimum(np.bitwise_count(((h & -h) - 1).view(np.uint64)), self.levels - 1)
         idx = self._row_base + lev
-        zc = np.array(self._zc_rows(coordinate), dtype=np.int64)[self._rep_ids]
         self._cnt_flat[idx] += delta
         self._sum_flat[idx] += delta * coordinate
-        if self._deferred:
-            self._fp_flat[idx] += delta * zc
-        else:
-            self._fp_flat[idx] = (self._fp_flat[idx] + delta * zc) % self.prime
+        # Rows are sampler-major, so one term per repetition broadcasts.
+        terms = [delta * pow(z, coordinate, FIELD_PRIME) % FIELD_PRIME for z in self._z]
+        fp = self._fp_flat[idx].reshape(self.count, self.reps)
+        fp += np.array(terms, dtype=np.int64)
+        fp %= FIELD_PRIME
+        self._fp_flat[idx] = fp.reshape(-1)
 
     def merge(self, other: "SamplerBank") -> "SamplerBank":
         if (self.dim, self.count, self.delta, self.seed) != (
@@ -426,117 +277,60 @@ class SamplerBank:
         out = SamplerBank(self.dim, self.count, self.delta, self.seed)
         out._hist_count[:] = self._hist_count + other._hist_count
         out._hist_sum[:] = self._hist_sum + other._hist_sum
-        out._updates = self._updates + other._updates
-        if self._deferred:
-            if out._updates > out._update_budget:
-                raise RuntimeError("update budget exceeded for deferred fingerprints")
-            out._hist_fp[:] = self._hist_fp + other._hist_fp
-        else:
-            out._hist_fp[:] = (self._hist_fp + other._hist_fp) % self.prime
+        out._hist_fp[:] = (self._hist_fp + other._hist_fp) % FIELD_PRIME
         return out
-
-    def _suffix_cells(self):
-        self._flush()
-        c = np.cumsum(self._hist_count[:, ::-1], axis=1)[:, ::-1]
-        s = np.cumsum(self._hist_sum[:, ::-1], axis=1)[:, ::-1]
-        if self._deferred:
-            f = np.cumsum(self._hist_fp[:, ::-1], axis=1)[:, ::-1] % self.prime
-        else:
-            f = np.empty_like(self._hist_fp)
-            acc = np.zeros(self._hist_fp.shape[0], dtype=np.int64)
-            for j in range(self.levels - 1, -1, -1):
-                acc = (acc + self._hist_fp[:, j]) % self.prime
-                f[:, j] = acc
-        shape = (self.count, self.reps, self.levels)
-        return c.reshape(shape), s.reshape(shape), f.reshape(shape)
 
     def sampler_cells(self, k: int) -> tuple:
         """Cells of sampler k in L0Sketch.cells() layout (debug/diff aid)."""
-        c3, s3, f3 = self._suffix_cells()
-        return tuple(
-            tuple((int(c3[k, r, j]), int(s3[k, r, j]), int(f3[k, r, j]))
-                  for j in range(self.levels))
-            for r in range(self.reps)
-        )
-
-    def _scan_one(self, k: int) -> int:
-        """Full ordered rescan of sampler k, verifying every singleton."""
         self._flush()
         rows = []
         for r in range(self.reps):
-            base = (k * self.reps + r) * self.levels
+            i = k * self.reps + r
             acc_c = acc_s = acc_f = 0
             cells = [None] * self.levels
             for j in range(self.levels - 1, -1, -1):
-                acc_c += int(self._cnt_flat[base + j])
-                acc_s += int(self._sum_flat[base + j])
-                acc_f += int(self._fp_flat[base + j])
-                cells[j] = (acc_c, acc_s, acc_f % self.prime)
-            rows.append(cells)
-        for j in range(self.levels - 1, -1, -1):
-            for r in range(self.reps):
-                cnt, s, f = rows[r][j]
-                if cnt == 1 and 0 <= s < self.dim and f == pow(self._z[r], s, self.prime):
-                    return s
-        return FAILED
+                acc_c += int(self._hist_count[i, j])
+                acc_s += int(self._hist_sum[i, j])
+                acc_f = (acc_f + int(self._hist_fp[i, j])) % FIELD_PRIME
+                cells[j] = (acc_c, acc_s, acc_f)
+            rows.append(tuple(cells))
+        return tuple(rows)
 
-    def _row_bests(self):
-        """Per sampler-repetition row: sparsest singleton level with its
-        candidate sum/fingerprint, plus the row's full support count."""
-        self._flush()
-        kr = self.count * self.reps
-        kernels = _get_kernels() if self._deferred else None
-        if kernels is not None:
-            out_lev = np.empty(kr, dtype=np.int64)
-            out_s = np.empty(kr, dtype=np.int64)
-            out_f = np.empty(kr, dtype=np.int64)
-            out_support = np.empty(kr, dtype=np.int64)
-            kernels[1](self._cnt_flat, self._sum_flat, self._fp_flat,
-                       self.levels, self.prime, out_lev, out_s, out_f, out_support)
-            return out_lev, out_s, out_f, out_support
-        c3, s3, f3 = self._suffix_cells()
-        c2 = c3.reshape(kr, self.levels)
-        s2 = s3.reshape(kr, self.levels)
-        f2 = f3.reshape(kr, self.levels)
-        singleton = c2 == 1
-        rev_first = np.argmax(singleton[:, ::-1], axis=1)
-        lev = self.levels - 1 - rev_first
-        has = singleton[np.arange(kr), lev]
-        out_lev = np.where(has, lev, -1)
-        out_s = np.where(has, s2[np.arange(kr), lev], 0)
-        out_f = np.where(has, f2[np.arange(kr), lev], 0)
-        return out_lev, out_s, out_f, c2[:, 0]
+    def _scan_one(self, k: int) -> int:
+        """Full ordered rescan of sampler k, verifying every singleton."""
+        s = _scan(self.sampler_cells(k), self._z, self.dim)
+        return FAILED if s is None else s
 
     def draw_all(self) -> np.ndarray:
         """One draw per sampler: a coordinate, EMPTY, or FAILED."""
-        row_lev, row_s, row_f, row_support = self._row_bests()
-        # Priority: sparsest level first, then lowest repetition index.
-        prio = np.where(row_lev >= 0,
-                        (row_lev + 1) * self.reps - self._rep_ids, 0)
-        prio2 = prio.reshape(self.count, self.reps)
-        win_rep = np.argmax(prio2, axis=1)
-        rows = np.arange(self.count) * self.reps + win_rep
-        has = prio[rows] > 0
-        support = row_support.reshape(self.count, self.reps)[:, 0]
-        s_cand = row_s[rows]
-        f_cand = row_f[rows]
-        in_range = (s_cand >= 0) & (s_cand < self.dim)
-        if self._deferred:
-            expected = _pow_mod_vec(self._z_arr[win_rep], np.maximum(s_cand, 0), self.prime)
-            verified = has & in_range & (f_cand == expected)
-        else:
-            verified = np.zeros(self.count, dtype=bool)
-            for k in np.nonzero(has & in_range)[0]:
-                verified[k] = int(f_cand[k]) == pow(
-                    self._z[int(win_rep[k])], int(s_cand[k]), self.prime
-                )
+        self._flush()
+        shape = (self.count, self.reps)
+        # Suffix sums of the count cells, sparsest level in column 0.
+        counts = np.cumsum(self._hist_count[:, ::-1], axis=1)
+        singleton = counts == 1
+        first = np.argmax(singleton, axis=1)
+        has = singleton.any(axis=1).reshape(shape)
+        # Each row's sparsest singleton level; priority: sparsest level
+        # first, then lowest repetition index.
+        lev = (self.levels - 1 - first).reshape(shape)
+        prio = np.where(has, (lev + 1) * self.reps - np.arange(self.reps), 0)
+        win_rep = np.argmax(prio, axis=1)
+        samplers = np.arange(self.count)
+        rows = samplers * self.reps + win_rep
+        support = counts[rows, -1]
         out = np.full(self.count, FAILED, dtype=np.int64)
-        ok = verified & (support > 0)
-        out[ok] = s_cand[ok]
         out[support == 0] = EMPTY
-        # A top-priority cell that failed verification does not end the scan:
-        # fall back to a full ordered rescan of that sampler.
-        leftover = (support > 0) & has & ~verified
-        for k in np.nonzero(leftover)[0]:
-            out[k] = self._scan_one(int(k))
+        cand = np.nonzero((support > 0) & has[samplers, win_rep])[0]
+        # Sum and fingerprint only at each candidate's winning cell.
+        above = np.arange(self.levels) >= lev[cand, win_rep[cand]][:, None]
+        sums = np.where(above, self._hist_sum[rows[cand]], 0).sum(axis=1)
+        fps = np.where(above, self._hist_fp[rows[cand]], 0).tolist()
+        for k, s, fp in zip(cand.tolist(), sums.tolist(), fps):
+            r = int(win_rep[k])
+            if _verifies((1, s, sum(fp) % FIELD_PRIME), self._z[r], self.dim):
+                out[k] = s
+            else:
+                # A top-priority cell that failed verification does not
+                # end the scan: fall back to a full ordered rescan.
+                out[k] = self._scan_one(k)
         return out

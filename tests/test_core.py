@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from feww.core import (
     ExactGraph,
     Neighbourhood,
-    Side,
     Sign,
     StreamUpdate,
-    VertexId,
     check_side_sizes,
     parse_stream_text,
     replay,
@@ -146,15 +144,6 @@ def test_side_size_restriction():
         check_side_sizes(4, 65)
     with pytest.raises(ValueError):
         ExactGraph(2, 9)
-
-
-def test_vertex_id_validation():
-    VertexId(Side.A, 3).validate(4, 6)
-    VertexId(Side.B, 6).validate(4, 6)
-    with pytest.raises(ValueError):
-        VertexId(Side.A, 5).validate(4, 6)
-    with pytest.raises(ValueError):
-        VertexId(Side.B, 0).validate(4, 6)
 
 
 # -- stream files -----------------------------------------------------------

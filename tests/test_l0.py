@@ -1,7 +1,6 @@
 """l0 sampler tests: exactness, linearity, uniformity, bank equivalence."""
 
 import math
-import random
 from collections import Counter
 
 import numpy as np
@@ -13,11 +12,9 @@ from feww.errors import CoordinateOutOfRange, SketchFailure
 from feww.l0 import (
     EMPTY,
     FAILED,
+    FIELD_PRIME,
     L0Sketch,
     SamplerBank,
-    _mulmod,
-    _pow_mod_vec,
-    field_prime,
     levels_for,
     repetitions_for,
 )
@@ -29,7 +26,7 @@ def test_shape_formulas():
     assert levels_for(100) == 8
     assert repetitions_for(0.01) == 5
     assert repetitions_for(1e-6) == 14
-    assert field_prime(64) > 64**3
+    assert FIELD_PRIME == 2**61 - 1
 
 
 def test_cancellation_restores_empty_sketch_cellwise():
@@ -171,31 +168,34 @@ def test_support_sixteen_tv_and_soundness_small():
     assert fails / trials < 0.01
 
 
-def test_dump_lists_every_cell():
-    sk = L0Sketch(8, delta=0.3, seed=1)
-    sk.update(3, +1)
-    lines = sk.dump().strip().split("\n")
-    assert lines[0].startswith("l0 dim=8")
-    assert len(lines) == 1 + sk.reps * sk.levels
-
-
 # -- vectorized bank ---------------------------------------------------------
 
-def test_bank_matches_sketch_cellwise():
-    ops = [(3, 1), (9, 1), (13, 1), (9, -1), (55, 1), (0, 1)]
-    for seed in (0, 7, 123):
-        sk = L0Sketch(64, delta=0.02, seed=seed)
-        bank = SamplerBank(64, 1, 0.02, seed)
-        for c, d in ops:
-            sk.update(c, d)
-            bank.update(c, d)
-        assert bank.sampler_cells(0) == sk.cells()
-        draw = bank.draw_all()
-        try:
-            expect = sk.sample()
-        except SketchFailure:
-            expect = FAILED
-        assert draw[0] == (expect if expect is not None else EMPTY)
+def test_bank_matches_sketch_cellwise(monkeypatch):
+    scans = []
+    scan_one = SamplerBank._scan_one
+    monkeypatch.setattr(SamplerBank, "_scan_one",
+                        lambda bank, k: scans.append(k) or scan_one(bank, k))
+    simple = [(3, 1), (9, 1), (13, 1), (9, -1), (55, 1), (0, 1)]
+    # Not simple: the sparsest count-1 cell holds 0 + 3 - 10 and fails
+    # verification, so the draw falls back to the full ordered rescan.
+    cancelling = [(0, 1), (3, 1), (10, -1)]
+    for dim in (64, 32768, 2_000_000):
+        for ops, seeds in ((simple + [(dim - 1, 1)], (0, 7, 123)), (cancelling, (0,))):
+            for seed in seeds:
+                sk = L0Sketch(dim, delta=0.02, seed=seed)
+                bank = SamplerBank(dim, 1, 0.02, seed)
+                for c, d in ops:
+                    sk.update(c, d)
+                    bank.update(c, d)
+                assert bank.sampler_cells(0) == sk.cells()
+                scans.clear()
+                draw = bank.draw_all()
+                try:
+                    expect = sk.sample()
+                except SketchFailure:
+                    expect = FAILED
+                assert draw[0] == (expect if expect is not None else EMPTY)
+                assert (scans == [0]) == (ops is cancelling)
 
 
 def test_bank_draws_are_sound_and_cover_support():
@@ -232,44 +232,21 @@ def test_bank_merge_equals_sequential():
         assert merged.sampler_cells(k) == whole.sampler_cells(k)
 
 
+def test_bank_survives_long_streams():
+    # 1,125,901 updates: more than a bank without per-update reduction of
+    # its fingerprints could take at this dim.
+    bank = SamplerBank(16000, 2, 0.05, seed=1)
+    bank.update(5, +1)
+    for i in range(1_125_900):
+        bank.update(i // 2 % 16000, 1 if i % 2 == 0 else -1)
+        if i % 131072 == 1:
+            assert list(bank.draw_all()) == [5, 5]
+    assert list(bank.draw_all()) == [5, 5]
+
+
 def test_bank_cell_count_formula():
     bank = SamplerBank(100, 37, 1e-6, seed=0)
     assert bank.cell_count() == 37 * 14 * 8 * 3
-
-
-def test_bank_numpy_fallback_matches_kernel():
-    # Force the no-kernel path and compare cells against the jit path.
-    import feww.l0 as l0mod
-    ops = [(c, 1) for c in range(0, 60, 3)] + [(6, -1), (30, -1)]
-    fast = SamplerBank(64, 5, 0.02, seed=31)
-    for c, d in ops:
-        fast.update(c, d)
-    fast_cells = [fast.sampler_cells(k) for k in range(5)]
-    saved = l0mod._KERNELS, l0mod._KERNELS_UNAVAILABLE
-    l0mod._KERNELS, l0mod._KERNELS_UNAVAILABLE = None, True
-    try:
-        slow = SamplerBank(64, 5, 0.02, seed=31)
-        for c, d in ops:
-            slow.update(c, d)
-        slow_cells = [slow.sampler_cells(k) for k in range(5)]
-        assert slow_cells == fast_cells
-        assert np.array_equal(slow.draw_all(), fast.draw_all())
-    finally:
-        l0mod._KERNELS, l0mod._KERNELS_UNAVAILABLE = saved
-
-
-def test_mulmod_and_powmod_against_python_ints():
-    rng = random.Random(3)
-    p = field_prime(3200)  # ~3.3e10, the regime-instance field
-    xs = np.array([rng.randrange(p) for _ in range(200)], dtype=np.int64)
-    ys = np.array([rng.randrange(p) for _ in range(200)], dtype=np.int64)
-    got = _mulmod(xs, ys, p)
-    for x, y, g in zip(xs, ys, got):
-        assert int(g) == (int(x) * int(y)) % p
-    es = np.array([rng.randrange(3200) for _ in range(200)], dtype=np.int64)
-    powed = _pow_mod_vec(xs, es, p)
-    for x, e, g in zip(xs, es, powed):
-        assert int(g) == pow(int(x), int(e), p)
 
 
 def test_space_grows_logarithmically():
