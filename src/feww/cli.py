@@ -28,7 +28,7 @@ from .core import (
     verify_witness,
     write_stream,
 )
-from .errors import StreamError
+from .errors import SketchFailure, SpaceBoundViolation, UnsoundWitness
 from .generators import (
     gen_amri_instance,
     gen_amri_stream,
@@ -40,7 +40,7 @@ from .generators import (
 from .harness import ExperimentConfig, run_experiment, space_audit, summary_text
 from .insertion_deletion import InsDelConfig, run_insertion_deletion
 from .insertion_only import InsertionOnlyConfig, run_insertion_only
-from .stars import Mode, StarConfig, parse_general_stream, run_star_detection
+from .stars import Mode, StarConfig, run_star_detection
 
 
 def _print_result(nb: Neighbourhood | None) -> None:
@@ -82,15 +82,26 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _parse_checked(path, general=False, n=None, m=None,
+                   search=MODE_INSERTION_DELETION):
+    """Parse a stream file and check its header against the command: a
+    general-graph file (no `m=`) iff `general`, sizes `n`/`m` unless n is
+    None, and an insertion-deletion file only for an insertion-deletion
+    `search`. A mismatch raises ValueError."""
+    updates, header = parse_stream(path)
+    if (header.m is None) != general:
+        raise ValueError(f"{path}: needs a {'general-graph' if general else 'bipartite'} "
+                         "stream file")
+    if n is not None and (header.n, header.m) != (n, m):
+        raise ValueError(f"header n={header.n} m={header.m} does not match "
+                         f"--n {n} --m {m}")
+    if header.mode == MODE_INSERTION_DELETION and search == MODE_INSERTION_ONLY:
+        raise ValueError("an insertion-deletion stream needs an insertion-deletion search")
+    return updates, header
+
+
 def _cmd_feww_ins(args) -> int:
-    updates, header = parse_stream(args.stream)
-    if header.n != args.n or header.m != args.m:
-        print(f"error: header n={header.n} m={header.m} does not match "
-              f"--n {args.n} --m {args.m}", file=sys.stderr)
-        return 2
-    if header.mode != MODE_INSERTION_ONLY:
-        print("error: feww-ins needs an insertion-only stream", file=sys.stderr)
-        return 2
+    updates, _ = _parse_checked(args.stream, n=args.n, m=args.m, search=MODE_INSERTION_ONLY)
     cfg = InsertionOnlyConfig(n=args.n, d=args.d, alpha=args.alpha, seed=args.seed)
     run = run_insertion_only(cfg, updates)
     _print_result(run.result)
@@ -100,11 +111,7 @@ def _cmd_feww_ins(args) -> int:
 
 
 def _cmd_feww_del(args) -> int:
-    updates, header = parse_stream(args.stream)
-    if header.n != args.n or header.m != args.m:
-        print(f"error: header n={header.n} m={header.m} does not match "
-              f"--n {args.n} --m {args.m}", file=sys.stderr)
-        return 2
+    updates, _ = _parse_checked(args.stream, n=args.n, m=args.m)
     cfg = InsDelConfig(n=args.n, m=args.m, d=args.d, alpha=args.alpha,
                        seed=args.seed, delta=args.delta)
     run = run_insertion_deletion(cfg, updates)
@@ -117,13 +124,7 @@ def _cmd_feww_del(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    updates, n, mode = parse_general_stream(args.stream)
-    if n != args.n:
-        print(f"error: header n={n} does not match --n {args.n}", file=sys.stderr)
-        return 2
-    if mode is Mode.INSERTION_DELETION and args.mode == MODE_INSERTION_ONLY:
-        print("error: insertion-deletion stream needs --mode insdel", file=sys.stderr)
-        return 2
+    updates, _ = _parse_checked(args.stream, general=True, n=args.n, search=args.mode)
     cfg = StarConfig(n=args.n, epsilon=args.epsilon, alpha=args.alpha,
                      mode=Mode(args.mode), seed=args.seed, delta=args.delta)
     run = run_star_detection(cfg, updates)
@@ -145,7 +146,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    updates, header = parse_stream(args.stream)
+    updates, header = _parse_checked(args.stream)
     graph = replay(updates, header.n, header.m)
     with open(args.result, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -247,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StreamError, ValueError) as exc:
+    except (OSError, ValueError, SketchFailure, SpaceBoundViolation, UnsoundWitness) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

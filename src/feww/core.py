@@ -10,7 +10,9 @@ Streams are sequences of edge insertions/deletions under simple-graph
 discipline: the running multiplicity of every edge stays in {0, 1}.
 Duplicate insertions and dangling deletions are hard errors, not silent
 no-ops, because downstream degree-triggered sampling is only correct on
-simple streams.
+simple streams. `parse_stream` enforces this for every stream file, both
+bipartite and general-graph (where `I u v` and `I v u` are the same edge),
+and names the offending line.
 
 `ExactGraph` is the verification oracle: it replays a stream exactly and
 answers degree and neighbourhood queries. Algorithms never consult it;
@@ -19,14 +21,16 @@ tests and the harness do.
 
 from __future__ import annotations
 
+import io
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     DeleteAbsent,
     DuplicateInsert,
     EmptyGraph,
     MalformedStream,
+    StreamError,
 )
 
 # Default exponent c in the side-size restriction m <= n**c.
@@ -51,6 +55,14 @@ class StreamUpdate(NamedTuple):
 
     a: int
     b: int
+    sign: Sign = Sign.INSERT
+
+
+class GeneralUpdate(NamedTuple):
+    """One undirected edge event on vertices of [n]."""
+
+    u: int
+    v: int
     sign: Sign = Sign.INSERT
 
 
@@ -155,92 +167,128 @@ def replay(updates: Iterable[StreamUpdate], n: int, m: int) -> ExactGraph:
 
 
 # ---------------------------------------------------------------------------
-# Stream file format
+# Stream files
 #
 # Text, UTF-8, LF line endings. One header line, then one update per line:
 #
-#   # n=<n> m=<m> mode=<ins|insdel>
+#   # n=<n> [m=<m>] mode=<ins|insdel>
 #   I <a> <b>
 #   D <a> <b>
 #
-# The format round-trips byte-for-byte through write_stream / parse_stream.
+# A header with `m=` marks a bipartite file of StreamUpdates; without it,
+# a general-graph file of GeneralUpdates on [n]. The format round-trips
+# byte-for-byte through write_stream / parse_stream.
 # ---------------------------------------------------------------------------
 
 MODE_INSERTION_ONLY = "ins"
 MODE_INSERTION_DELETION = "insdel"
 
+SIGNS = {"I": Sign.INSERT, "D": Sign.DELETE}
+
 
 class StreamHeader(NamedTuple):
     n: int
-    m: int
+    m: Optional[int]  # None for a general-graph file
     mode: str
 
 
-def stream_to_text(updates: Iterable[StreamUpdate], n: int, m: int, mode: str) -> str:
+def stream_to_text(updates: Iterable[tuple[int, int, Sign]], n: int, m: Optional[int],
+                   mode: str) -> str:
     if mode not in (MODE_INSERTION_ONLY, MODE_INSERTION_DELETION):
         raise ValueError(f"unknown mode {mode!r}")
-    check_side_sizes(n, m)
-    lines = [f"# n={n} m={m} mode={mode}\n"]
-    for u in updates:
-        if mode == MODE_INSERTION_ONLY and u.sign is Sign.DELETE:
+    check_side_sizes(n, n if m is None else m)
+    lines = [f"# n={n} mode={mode}\n" if m is None else f"# n={n} m={m} mode={mode}\n"]
+    for a, b, sign in updates:
+        if mode == MODE_INSERTION_ONLY and sign is Sign.DELETE:
             raise MalformedStream("deletion in an insertion-only stream")
-        lines.append(f"{u.sign.value} {u.a} {u.b}\n")
+        lines.append(f"{sign.value} {a} {b}\n")
     return "".join(lines)
 
 
-def write_stream(updates: Iterable[StreamUpdate], n: int, m: int, mode: str, path) -> None:
+def write_stream(updates: Iterable[tuple[int, int, Sign]], n: int, m: Optional[int],
+                 mode: str, path) -> None:
     text = stream_to_text(updates, n, m, mode)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
-def _parse_int(token: str, what: str, lineno: int) -> int:
+def _parse_header(line: str) -> StreamHeader:
+    parts = line.split()
+    keys = ("n=", "m=", "mode=") if len(parts) == 4 else ("n=", "mode=")
+    if (len(parts) != len(keys) + 1 or parts[0] != "#"
+            or not all(p.startswith(k) for p, k in zip(parts[1:], keys))):
+        raise MalformedStream(f"bad header line {line.rstrip()!r}")
     try:
-        return int(token)
+        sizes = [int(p.split("=", 1)[1]) for p in parts[1:-1]]
     except ValueError:
-        raise MalformedStream(f"line {lineno}: bad {what} {token!r}") from None
-
-
-def parse_stream_text(text: str) -> tuple[list[StreamUpdate], StreamHeader]:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise MalformedStream("empty stream file")
-    header = lines[0]
-    parts = header.split()
-    if (
-        len(parts) != 4
-        or parts[0] != "#"
-        or not parts[1].startswith("n=")
-        or not parts[2].startswith("m=")
-        or not parts[3].startswith("mode=")
-    ):
-        raise MalformedStream(f"bad header line {header!r}")
-    n = _parse_int(parts[1][2:], "n", 1)
-    m = _parse_int(parts[2][2:], "m", 1)
-    mode = parts[3][5:]
+        raise MalformedStream(f"bad size in header {line.rstrip()!r}") from None
+    mode = parts[-1][5:]
     if mode not in (MODE_INSERTION_ONLY, MODE_INSERTION_DELETION):
         raise MalformedStream(f"bad mode {mode!r}")
-    check_side_sizes(n, m)
+    n, m = sizes if len(sizes) == 2 else (sizes[0], None)
+    check_side_sizes(n, n if m is None else m)
+    return StreamHeader(n, m, mode)
+
+
+def _parse_lines(lines: Iterable[str]) -> tuple[list, StreamHeader]:
+    """The one parse loop: a header, then updates that must keep every edge
+    multiplicity in {0, 1}. General-graph edges are unordered pairs."""
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
+        raise MalformedStream("empty stream file")
+    header = _parse_header(first)
+    n, m, mode = header
+    general = m is None
+    hi = n if general else m
+    width = hi + 1
+    insertion_only = mode == MODE_INSERTION_ONLY
+    make = GeneralUpdate if general else StreamUpdate
+    insert = Sign.INSERT
+    live: set[int] = set()  # keys a * width + b of the edges present
     updates = []
-    for i, line in enumerate(lines[1:], start=2):
-        toks = line.split()
-        if len(toks) != 3 or toks[0] not in ("I", "D"):
-            raise MalformedStream(f"line {i}: bad update line {line!r}")
-        sign = Sign.INSERT if toks[0] == "I" else Sign.DELETE
-        if mode == MODE_INSERTION_ONLY and sign is Sign.DELETE:
-            raise MalformedStream(f"line {i}: deletion in insertion-only stream")
-        a = _parse_int(toks[1], "A-index", i)
-        b = _parse_int(toks[2], "B-index", i)
-        if not (1 <= a <= n):
-            raise MalformedStream(f"line {i}: A-index {a} outside [1, {n}]")
-        if not (1 <= b <= m):
-            raise MalformedStream(f"line {i}: B-index {b} outside [1, {m}]")
-        updates.append(StreamUpdate(a, b, sign))
-    return updates, StreamHeader(n, m, mode)
+    append = updates.append
+    for line in lines:
+        # Every earlier line after the header became an update, so the
+        # line number of a bad line is len(updates) + 2.
+        try:
+            s, x, y = line.split()
+            sign = SIGNS[s]
+            a = int(x)
+            b = int(y)
+            if not (0 < a <= n and 0 < b <= hi):
+                raise MalformedStream(f"edge ({a},{b}) outside [1, {n}] x [1, {hi}]")
+            if general:
+                if a == b:
+                    raise MalformedStream(f"self-loop at {a}")
+                key = a * width + b if a < b else b * width + a
+            else:
+                key = a * width + b
+            if sign is insert:
+                if key in live:
+                    raise DuplicateInsert(f"edge ({a},{b}) inserted twice")
+                live.add(key)
+            else:
+                if insertion_only:
+                    raise MalformedStream("deletion in insertion-only stream")
+                if key not in live:
+                    raise DeleteAbsent(f"edge ({a},{b}) deleted but absent")
+                live.remove(key)
+            append(make(a, b, sign))
+        except StreamError as exc:
+            raise type(exc)(f"line {len(updates) + 2}: {exc}") from None
+        except (ValueError, KeyError):
+            raise MalformedStream(f"line {len(updates) + 2}: bad update line "
+                                  f"{line.rstrip()!r}") from None
+    return updates, header
 
 
-def parse_stream(path) -> tuple[list[StreamUpdate], StreamHeader]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_stream_text(fh.read())
+def parse_stream_text(text: str) -> tuple[list, StreamHeader]:
+    return _parse_lines(io.StringIO(text, newline="\n"))
+
+
+def parse_stream(path) -> tuple[list, StreamHeader]:
+    """Updates (StreamUpdates, or GeneralUpdates if the header has no `m=`)
+    and the header of a stream file, read line by line."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        return _parse_lines(fh)

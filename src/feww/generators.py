@@ -32,9 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Neighbourhood, Sign, StreamUpdate
+from .core import GeneralUpdate, Neighbourhood, Sign, StreamUpdate
 from .errors import ColumnOutOfRange, ParameterOrderViolation
-from .stars import GeneralUpdate
 
 
 # ---------------------------------------------------------------------------

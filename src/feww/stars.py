@@ -9,8 +9,8 @@ and the successful run with the largest guess wins: if the largest guess
 D' <= max degree succeeds, it certifies at least D'/alpha >= Delta /
 (alpha*(1+eps)) true neighbours.
 
-General-graph streams use their own one-line-per-update text format
-(`I <u> <v>` / `D <u> <v>` after a `# n=<n> mode=<ins|insdel>` header).
+General-graph stream files are the `feww.core` format with no `m=` in
+the header; `write_general_stream` writes one.
 """
 
 from __future__ import annotations
@@ -18,16 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .core import (
     MODE_INSERTION_DELETION,
     MODE_INSERTION_ONLY,
+    GeneralUpdate,
     Neighbourhood,
     Sign,
     StreamUpdate,
+    write_stream,
 )
-from .errors import MalformedStream, SelfLoop
+from .errors import SelfLoop
 from .insertion_deletion import InsDelConfig, run_insertion_deletion
 from .insertion_only import InsertionOnlyConfig, run_insertion_only
 from .seeds import derive
@@ -36,14 +38,6 @@ from .seeds import derive
 class Mode(Enum):
     INSERTION_ONLY = MODE_INSERTION_ONLY
     INSERTION_DELETION = MODE_INSERTION_DELETION
-
-
-class GeneralUpdate(NamedTuple):
-    """One undirected edge event on vertices of [n]."""
-
-    u: int
-    v: int
-    sign: Sign = Sign.INSERT
 
 
 def double_edge(u: int, v: int, sign: Sign = Sign.INSERT) -> tuple[StreamUpdate, StreamUpdate]:
@@ -147,64 +141,5 @@ def semi_streaming_preset(n: int, mode: Mode, seed: int = 0) -> StarConfig:
     return StarConfig(n=n, epsilon=1.0, alpha=alpha, mode=mode, seed=seed)
 
 
-# ---------------------------------------------------------------------------
-# General-graph stream files: `# n=<n> mode=<ins|insdel>` then `I <u> <v>`.
-# ---------------------------------------------------------------------------
-
-def general_stream_to_text(updates: Iterable[GeneralUpdate], n: int, mode: Mode) -> str:
-    lines = [f"# n={n} mode={mode.value}\n"]
-    for gu in updates:
-        if mode is Mode.INSERTION_ONLY and gu.sign is Sign.DELETE:
-            raise MalformedStream("deletion in an insertion-only stream")
-        lines.append(f"{gu.sign.value} {gu.u} {gu.v}\n")
-    return "".join(lines)
-
-
 def write_general_stream(updates: Iterable[GeneralUpdate], n: int, mode: Mode, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(general_stream_to_text(updates, n, mode))
-
-
-def parse_general_stream_text(text: str) -> tuple[list[GeneralUpdate], int, Mode]:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise MalformedStream("empty stream file")
-    parts = lines[0].split()
-    if (len(parts) != 3 or parts[0] != "#" or not parts[1].startswith("n=")
-            or not parts[2].startswith("mode=")):
-        raise MalformedStream(f"bad header line {lines[0]!r}")
-    try:
-        n = int(parts[1][2:])
-    except ValueError:
-        raise MalformedStream(f"bad n in header {lines[0]!r}") from None
-    try:
-        mode = Mode(parts[2][5:])
-    except ValueError:
-        raise MalformedStream(f"bad mode in header {lines[0]!r}") from None
-    if n < 1:
-        raise MalformedStream(f"n must be >= 1, got {n}")
-    updates = []
-    for i, line in enumerate(lines[1:], start=2):
-        toks = line.split()
-        if len(toks) != 3 or toks[0] not in ("I", "D"):
-            raise MalformedStream(f"line {i}: bad update line {line!r}")
-        sign = Sign.INSERT if toks[0] == "I" else Sign.DELETE
-        if mode is Mode.INSERTION_ONLY and sign is Sign.DELETE:
-            raise MalformedStream(f"line {i}: deletion in insertion-only stream")
-        try:
-            u, v = int(toks[1]), int(toks[2])
-        except ValueError:
-            raise MalformedStream(f"line {i}: bad vertex index") from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise MalformedStream(f"line {i}: vertex outside [1, {n}]")
-        if u == v:
-            raise MalformedStream(f"line {i}: self-loop at {u}")
-        updates.append(GeneralUpdate(u, v, sign))
-    return updates, n, mode
-
-
-def parse_general_stream(path) -> tuple[list[GeneralUpdate], int, Mode]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_general_stream_text(fh.read())
+    write_stream(updates, n, None, mode.value, path)

@@ -165,6 +165,15 @@ def test_parse_rejects_bad_lines():
         parse_stream_text("# n=4 m=6 mode=ins\nD 1 2\n")
     with pytest.raises(MalformedStream):
         parse_stream_text("# n=4 m=6 mode=ins\nI 5 2\n")
+    with pytest.raises(DuplicateInsert, match="line 3"):
+        parse_stream_text("# n=4 m=6 mode=ins\nI 1 2\nI 1 2\n")
+    with pytest.raises(DeleteAbsent, match="line 3"):
+        parse_stream_text("# n=4 m=6 mode=insdel\nI 1 2\nD 1 3\n")
+    # General-graph edges are unordered: (2,1) is the edge (1,2).
+    with pytest.raises(DuplicateInsert, match="line 3"):
+        parse_stream_text("# n=4 mode=ins\nI 1 2\nI 2 1\n")
+    with pytest.raises(DeleteAbsent, match="line 4"):
+        parse_stream_text("# n=4 mode=insdel\nI 1 2\nD 2 1\nD 1 2\n")
 
 
 @st.composite

@@ -226,6 +226,43 @@ def test_cli_header_mismatch_is_an_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("header, body, argv", [
+    ("# n=4 m=4 mode=ins", "I 1 2\nI 1 2\n",
+     ("feww-ins", "--n", "4", "--m", "4", "--d", "2", "--alpha", "1")),
+    ("# n=4 mode=ins", "I 1 2\nI 2 1\n", ("star", "--n", "4", "--alpha", "1")),
+    ("# n=4 m=4 mode=insdel", "I 1 2\nD 1 3\n",
+     ("feww-del", "--n", "4", "--m", "4", "--d", "1", "--alpha", "1")),
+], ids=["duplicate-insert", "reversed-duplicate", "dangling-delete"])
+def test_cli_rejects_non_simple_streams(tmp_path, capsys, header, body, argv):
+    stream = tmp_path / "s.txt"
+    stream.write_text(f"{header}\n{body}", encoding="utf-8")
+    code, out = _run_cli(*argv, "--stream", str(stream))
+    assert code == 2 and "result" not in out
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
+def test_cli_missing_stream_file_is_an_error(tmp_path, capsys):
+    code, out = _run_cli("feww-ins", "--n", "4", "--m", "4", "--d", "2", "--alpha", "1",
+                         "--stream", str(tmp_path / "missing.txt"))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("header, argv", [
+    ("# n=4 m=4 mode=ins", ("star", "--n", "4", "--alpha", "1")),
+    ("# n=4 mode=ins", ("feww-ins", "--n", "4", "--m", "4", "--d", "1", "--alpha", "1")),
+    ("# n=4 mode=ins", ("verify", "--result", "{result}")),
+], ids=["star-bipartite", "feww-ins-general", "verify-general"])
+def test_cli_rejects_wrong_header_shape(tmp_path, header, argv):
+    stream = tmp_path / "s.txt"
+    stream.write_text(f"{header}\nI 1 2\nI 1 3\n", encoding="utf-8")
+    result = tmp_path / "r.txt"
+    result.write_text("result 1 1\nwitnesses 2\n", encoding="utf-8")
+    argv = [a.format(result=result) for a in argv]
+    code, out = _run_cli(*argv, "--stream", str(stream))
+    assert code == 2 and out == ""
+
+
 def test_cli_bvl_truth_sidecar(tmp_path):
     stream = tmp_path / "b.txt"
     code, out = _run_cli("gen", "bvl", "--n", "16", "--parties", "3", "--k", "4",

@@ -2,8 +2,16 @@
 
 import pytest
 
-from feww.core import Sign, StreamUpdate, replay, verify_witness
-from feww.errors import MalformedStream, SelfLoop
+from feww.core import (
+    MODE_INSERTION_DELETION,
+    Sign,
+    StreamUpdate,
+    parse_stream_text,
+    replay,
+    stream_to_text,
+    verify_witness,
+)
+from feww.errors import DeleteAbsent, MalformedStream, SelfLoop
 from feww.generators import gen_general_star
 from feww.stars import (
     GeneralUpdate,
@@ -11,8 +19,6 @@ from feww.stars import (
     StarConfig,
     double_edge,
     double_stream,
-    general_stream_to_text,
-    parse_general_stream_text,
     run_star_detection,
     semi_streaming_preset,
 )
@@ -125,16 +131,22 @@ def test_empty_graph_fails():
 
 def test_general_stream_round_trip():
     updates = [GeneralUpdate(1, 2), GeneralUpdate(2, 3, Sign.DELETE)]
-    text = general_stream_to_text(updates, 4, Mode.INSERTION_DELETION)
+    text = stream_to_text(updates, 4, None, MODE_INSERTION_DELETION)
     assert text == "# n=4 mode=insdel\nI 1 2\nD 2 3\n"
-    parsed, n, mode = parse_general_stream_text(text)
-    assert parsed == updates and n == 4 and mode is Mode.INSERTION_DELETION
+    # The writer does not replay; the parser rejects the dangling delete.
+    with pytest.raises(DeleteAbsent, match="line 3"):
+        parse_stream_text(text)
+    legal = [GeneralUpdate(1, 2), GeneralUpdate(2, 1, Sign.DELETE)]
+    text = stream_to_text(legal, 4, None, MODE_INSERTION_DELETION)
+    parsed, header = parse_stream_text(text)
+    assert parsed == legal and all(type(u) is GeneralUpdate for u in parsed)
+    assert header == (4, None, MODE_INSERTION_DELETION)
 
 
 def test_general_stream_parse_errors():
     with pytest.raises(MalformedStream):
-        parse_general_stream_text("# n=4 mode=ins\nI 2 2\n")
+        parse_stream_text("# n=4 mode=ins\nI 2 2\n")
     with pytest.raises(MalformedStream):
-        parse_general_stream_text("# n=4 mode=ins\nD 1 2\n")
+        parse_stream_text("# n=4 mode=ins\nD 1 2\n")
     with pytest.raises(MalformedStream):
-        parse_general_stream_text("# n=4 mode=ins\nI 1 5\n")
+        parse_stream_text("# n=4 mode=ins\nI 1 5\n")
