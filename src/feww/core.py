@@ -194,15 +194,14 @@ class StreamHeader(NamedTuple):
 
 def stream_to_text(updates: Iterable[tuple[int, int, Sign]], n: int, m: Optional[int],
                    mode: str) -> str:
-    if mode not in (MODE_INSERTION_ONLY, MODE_INSERTION_DELETION):
-        raise ValueError(f"unknown mode {mode!r}")
-    check_side_sizes(n, n if m is None else m)
+    """The stream file text of `updates`. It is parsed before it is
+    returned, so the writer raises what the parser would (a bad header, a
+    duplicate insert, a dangling delete, an index out of range)."""
     lines = [f"# n={n} mode={mode}\n" if m is None else f"# n={n} m={m} mode={mode}\n"]
-    for a, b, sign in updates:
-        if mode == MODE_INSERTION_ONLY and sign is Sign.DELETE:
-            raise MalformedStream("deletion in an insertion-only stream")
-        lines.append(f"{sign.value} {a} {b}\n")
-    return "".join(lines)
+    lines += [f"{sign.value} {a} {b}\n" for a, b, sign in updates]
+    text = "".join(lines)
+    parse_stream_text(text)
+    return text
 
 
 def write_stream(updates: Iterable[tuple[int, int, Sign]], n: int, m: Optional[int],
@@ -217,14 +216,15 @@ def _parse_header(line: str) -> StreamHeader:
     keys = ("n=", "m=", "mode=") if len(parts) == 4 else ("n=", "mode=")
     if (len(parts) != len(keys) + 1 or parts[0] != "#"
             or not all(p.startswith(k) for p, k in zip(parts[1:], keys))):
-        raise MalformedStream(f"bad header line {line.rstrip()!r}")
-    try:
-        sizes = [int(p.split("=", 1)[1]) for p in parts[1:-1]]
-    except ValueError:
-        raise MalformedStream(f"bad size in header {line.rstrip()!r}") from None
+        raise MalformedStream(f"line 1: bad header line {line.rstrip()!r}")
+    sizes = [p.split("=", 1)[1] for p in parts[1:-1]]
+    # int() alone would also take "1_0", "+3" and non-ASCII digits.
+    if not (line.isascii() and all(v.isdigit() for v in sizes)):
+        raise MalformedStream(f"line 1: bad size in header {line.rstrip()!r}")
+    sizes = [int(v) for v in sizes]
     mode = parts[-1][5:]
     if mode not in (MODE_INSERTION_ONLY, MODE_INSERTION_DELETION):
-        raise MalformedStream(f"bad mode {mode!r}")
+        raise MalformedStream(f"line 1: bad mode {mode!r}")
     n, m = sizes if len(sizes) == 2 else (sizes[0], None)
     check_side_sizes(n, n if m is None else m)
     return StreamHeader(n, m, mode)
@@ -254,6 +254,9 @@ def _parse_lines(lines: Iterable[str]) -> tuple[list, StreamHeader]:
         try:
             s, x, y = line.split()
             sign = SIGNS[s]
+            # ASCII decimal indices only, so every file round-trips.
+            if not (x.isdigit() and y.isdigit() and line.isascii()):
+                raise ValueError
             a = int(x)
             b = int(y)
             if not (0 < a <= n and 0 < b <= hi):

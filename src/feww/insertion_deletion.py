@@ -12,9 +12,9 @@ Two sampling strategies run side by side and their draws are pooled:
   sparse enough that a maximum-degree vertex owns a fair share of edges.
 
 After the stream, every sampler is drawn once, failed samplers contribute
-nothing, draws are pooled per center with duplicates removed, and any
-center holding at least ceil(d/alpha) distinct witnesses is returned
-(smallest index first). Only the final vector matters to the linear
+nothing (`InsDelRun.failed_draws` counts them), draws are pooled per
+center with duplicates removed, and any center holding at least
+ceil(d/alpha) distinct witnesses is returned (smallest index first). Only the final vector matters to the linear
 sketches, so deletions anywhere in the stream are free.
 
 Per-vertex samplers index coordinates as b-1 over [0, m); edge samplers
@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import Neighbourhood, Sign, StreamUpdate
 from .errors import MalformedStream, ParameterOrderViolation
-from .l0 import SamplerBank, levels_for, repetitions_for
+from .l0 import FAILED, SamplerBank, levels_for, repetitions_for
 from .seeds import derive
 
 
@@ -104,16 +104,20 @@ class InsDelConfig:
 
 
 class InsDelRun:
-    """Outcome of one insertion-deletion execution."""
+    """Outcome of one insertion-deletion execution.
+
+    `failed_draws` counts the samplers, over all banks, whose draw found no
+    verified cell (the event each sampler's delta bounds)."""
 
     def __init__(self, config: InsDelConfig, result: Optional[Neighbourhood],
                  sampled_vertices: tuple[int, ...], pooled: dict[int, set[int]],
-                 sketch_cells: int):
+                 sketch_cells: int, failed_draws: int):
         self.config = config
         self.result = result
         self.sampled_vertices = sampled_vertices
         self.pooled = pooled
         self.sketch_cells = sketch_cells
+        self.failed_draws = failed_draws
 
     @property
     def sampler_counts(self) -> tuple[int, int, int]:
@@ -146,12 +150,15 @@ def run_insertion_deletion(config: InsDelConfig,
         edge_bank.update((u.a - 1) * m + (u.b - 1), sign)
 
     pooled: dict[int, set[int]] = {}
+    failed = 0
     for a, bank in vertex_banks.items():
         draws = bank.draw_all()
+        failed += int(np.count_nonzero(draws == FAILED))
         good = draws[draws >= 0]
         if good.size:
             pooled.setdefault(a, set()).update(int(b) + 1 for b in good)
     edge_draws = edge_bank.draw_all()
+    failed += int(np.count_nonzero(edge_draws == FAILED))
     for coord in edge_draws[edge_draws >= 0]:
         a, b0 = divmod(int(coord), m)
         pooled.setdefault(a + 1, set()).add(b0 + 1)
@@ -164,7 +171,7 @@ def run_insertion_deletion(config: InsDelConfig,
             break
 
     cells = sum(b.cell_count() for b in vertex_banks.values()) + edge_bank.cell_count()
-    return InsDelRun(config, result, sampled, pooled, cells)
+    return InsDelRun(config, result, sampled, pooled, cells, failed)
 
 
 def validate_sampling_lemma(n: int, k: int, y: int, c: int, trials: int,

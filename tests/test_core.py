@@ -149,9 +149,13 @@ def test_side_size_restriction():
 # -- stream files -----------------------------------------------------------
 
 def test_stream_text_example():
-    text = stream_to_text([StreamUpdate(1, 2), StreamUpdate(3, 4, Sign.DELETE)],
+    text = stream_to_text([StreamUpdate(1, 2), StreamUpdate(1, 2, Sign.DELETE)],
                           4, 6, "insdel")
-    assert text == "# n=4 m=6 mode=insdel\nI 1 2\nD 3 4\n"
+    assert text == "# n=4 m=6 mode=insdel\nI 1 2\nD 1 2\n"
+    # The writer refuses what the parser would.
+    with pytest.raises(DeleteAbsent, match="line 3"):
+        stream_to_text([StreamUpdate(1, 2), StreamUpdate(3, 4, Sign.DELETE)],
+                       4, 6, "insdel")
 
 
 def test_parse_rejects_bad_lines():
@@ -174,6 +178,14 @@ def test_parse_rejects_bad_lines():
         parse_stream_text("# n=4 mode=ins\nI 1 2\nI 2 1\n")
     with pytest.raises(DeleteAbsent, match="line 4"):
         parse_stream_text("# n=4 mode=insdel\nI 1 2\nD 2 1\nD 1 2\n")
+    # ASCII decimal indices and sizes only: int() alone takes all of these.
+    for body in ("I 1_0 2", "I +3 2", "I 1 \u0663", "I \u0663 2"):
+        with pytest.raises(MalformedStream, match="line 3"):
+            parse_stream_text(f"# n=40 m=6 mode=ins\nI 1 1\n{body}\n")
+    for header in ("# n=1_0 m=6 mode=ins", "# n=4 m=+6 mode=ins",
+                   "# n=\u0664 mode=ins"):
+        with pytest.raises(MalformedStream, match="line 1"):
+            parse_stream_text(f"{header}\nI 1 2\n")
 
 
 @st.composite

@@ -54,6 +54,19 @@ def test_run_reports_cells_matching_closed_form():
                                   cfg.edge_samplers)
 
 
+def test_run_counts_failed_draws():
+    cfg = InsDelConfig(n=20, m=8, d=4, alpha=2, seed=1, delta=1e-4)
+    simple = [StreamUpdate(3, b) for b in range(1, 5)]
+    assert run_insertion_deletion(cfg, simple).failed_draws == 0
+    # Alone, a dangling delete leaves a count of -1 at level 0 and no
+    # count-1 cell, so every sampler that saw it fails.
+    run = run_insertion_deletion(cfg, [StreamUpdate(5, 2, Sign.DELETE)])
+    vertex = cfg.samplers_per_vertex if 5 in run.sampled_vertices else 0
+    assert run.failed_draws == cfg.edge_samplers + vertex > 0
+    mixed = simple + [StreamUpdate(5, 2, Sign.DELETE)]
+    assert run_insertion_deletion(cfg, mixed).failed_draws > 0
+
+
 def test_single_star_survives_deletion_churn():
     n, m, d, alpha = 40, 16, 8, 2
     star = [StreamUpdate(7, b) for b in range(1, d + 1)]

@@ -176,10 +176,13 @@ def test_bank_matches_sketch_cellwise(monkeypatch):
     monkeypatch.setattr(SamplerBank, "_scan_one",
                         lambda bank, k: scans.append(k) or scan_one(bank, k))
     simple = [(3, 1), (9, 1), (13, 1), (9, -1), (55, 1), (0, 1)]
-    # Not simple: the sparsest count-1 cell holds 0 + 3 - 10 and fails
-    # verification, so the draw falls back to the full ordered rescan.
+    # Not simple: the sparsest count-1 cell holds all three coordinates,
+    # index 0 ^ 3 ^ 10 = 9 and fingerprint 1 + z**3 - z**10 != z**9, so it
+    # fails verification and the draw falls back to the full ordered rescan.
     cancelling = [(0, 1), (3, 1), (10, -1)]
-    for dim in (64, 32768, 2_000_000):
+    # 2**31 - 2 is the largest dim: its coordinates times the int32 hash
+    # parameters need the int64 product.
+    for dim in (64, 32768, 2_000_000, 2**31 - 2):
         for ops, seeds in ((simple + [(dim - 1, 1)], (0, 7, 123)), (cancelling, (0,))):
             for seed in seeds:
                 sk = L0Sketch(dim, delta=0.02, seed=seed)
@@ -196,6 +199,48 @@ def test_bank_matches_sketch_cellwise(monkeypatch):
                     expect = FAILED
                 assert draw[0] == (expect if expect is not None else EMPTY)
                 assert (scans == [0]) == (ops is cancelling)
+
+
+def test_bank_draws_match_rescan_across_blocks():
+    # 4700 samplers x 14 repetitions = 65,800 rows: more than one block of
+    # the draw's suffix-count scan.
+    empty = SamplerBank(64, 4700, 1e-6, seed=8)
+    assert empty.count * empty.reps > 65_536
+    assert (empty.draw_all() == EMPTY).all()
+    simple = [(c, 1) for c in (2, 11, 23, 42, 59)]
+    # Not simple: after a double insert and a dangling delete, some top
+    # cells fail verification and their draws fall back to the rescan.
+    for ops in (simple, simple + [(5, 1), (5, 1), (30, -1)]):
+        bank = SamplerBank(64, 4700, 1e-6, seed=8)
+        for c, d in ops:
+            bank.update(c, d)
+        draws = bank.draw_all()
+        assert draws.tolist() == [bank._scan_one(k) for k in range(bank.count)]
+
+
+def test_bank_pending_stays_at_live_support():
+    # 200,000 churn updates: each step inserts one coordinate and deletes
+    # the one inserted 64 steps before; 4094 and 4095 survive throughout.
+    bank = SamplerBank(4096, 4, 0.05, seed=3)
+    live = {4094, 4095}
+    for c in live:
+        bank.update(c, +1)
+    for i in range(100_000):
+        c = i % 4093
+        bank.update(c, +1)
+        live.add(c)
+        if i >= 64:
+            old = (i - 64) % 4093
+            bank.update(old, -1)
+            live.remove(old)
+        if i % 10_000 == 0:
+            assert len(bank._pending) <= len(live)
+    reference = SamplerBank(4096, 4, 0.05, seed=3)
+    for c in live:
+        reference.update(c, +1)
+    draws = bank.draw_all()
+    assert np.array_equal(draws, reference.draw_all())
+    assert set(draws.tolist()) <= live | {FAILED}
 
 
 def test_bank_draws_are_sound_and_cover_support():
